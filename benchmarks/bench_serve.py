@@ -7,9 +7,10 @@ concurrency?  This bench answers it with a closed-loop generator — every
 client thread keeps exactly one request in flight over its own
 keep-alive connection, so offered load follows service rate and the
 measured latency is queueing-free at ``concurrency=1`` and
-queueing-dominated at higher fan-in (all session work serializes through
-the server's single session executor; extra workers only help requests
-whose *plans* fan out across the pool).
+queueing-dominated at higher fan-in.  With one worker every query runs
+in-process on the server's single session executor; with more, each
+query runs on a pool worker while the session executor only submits and
+collects it, so concurrent clients' queries proceed in parallel.
 
 The matrix is ``workers × concurrency`` over one warmed dataset
 (default ``ca-grqc``); each cell reports client-side p50/p99 latency and

@@ -15,7 +15,9 @@ Endpoints
     ``dataset`` (and optionally ``variants``, a list of override dicts
     answered as one batch).  Compiled through the fluent
     :class:`~repro.platform.session.Query` builder and answered
-    *synchronously* — the response carries the full
+    *synchronously* as a batch — of one, or of the variants — on the
+    resident pool when the session has ``workers > 1``, in-process
+    otherwise.  The response carries the full
     :class:`~repro.platform.session.QueryResult` as JSON.
 ``POST /suite``
     Body describes an :class:`~repro.platform.suite.ExperimentPlan`
@@ -39,16 +41,26 @@ Concurrency model
 -----------------
 The session object is not thread-safe, so *all* session work — queries
 and suite jobs alike — funnels through one single-thread executor via
-``run_in_executor``.  The event loop stays free to answer polls and
-health checks while a kernel runs.  Suite jobs execute per-dataset
-sub-plans (``replace(plan, datasets=(d,))``) rather than the whole plan
-in one executor hop, so a long sweep yields the session between
-datasets and synchronous queries interleave instead of starving.
+``run_in_executor``.  On a ``workers > 1`` session a query only
+*submits* its pool shards there (``MiningSession._submit_batch``) and
+later *collects* them (``_collect_batch``); in between, the event loop
+awaits the shard futures (``asyncio.wrap_future``), so the session
+thread is free and two clients' queries run on two workers at once.
+A query for a graph the pool never received (added or re-bound after
+the pool started, or unpicklable) is answered in-process on the
+session thread instead.  On a ``workers <= 1`` session queries run
+in-process on the session thread, one at a time.  The event loop stays
+free to answer polls and health checks while a kernel runs.  Suite jobs
+execute per-dataset sub-plans (``replace(plan, datasets=(d,))``) rather
+than the whole plan in one executor hop, so a long sweep yields the
+session between datasets and synchronous queries interleave instead of
+starving.
 
 Admission control bounds the query path: at most ``max_inflight``
 requests in service plus ``backlog`` admitted-but-waiting; beyond that
 ``POST /query`` answers ``429`` with a ``Retry-After`` estimated from
-the recent service rate.  Job submissions are bounded separately by
+the recent service rate and the number of service lanes (pool
+workers).  Job submissions are bounded separately by
 ``max_pending_jobs``.
 
 Multi-tenancy
@@ -133,20 +145,23 @@ class AdmissionControl:
     """Bounded-queue admission for the synchronous query path.
 
     ``max_inflight`` requests may be *in service* at once (in practice
-    they serialize on the session executor; the bound caps how much work
-    is committed, not true parallelism), and up to ``backlog`` more may
-    be admitted and waiting.  Beyond that, :meth:`try_acquire` refuses
-    and the server answers ``429`` — shedding load at the door instead
-    of letting the queue grow without bound, with ``Retry-After``
-    estimated from an EWMA of recent service times.
+    at most ``lanes`` of them run in parallel — one per pool worker, or
+    one on the session executor; the bound caps how much work is
+    committed, not true parallelism), and up to ``backlog`` more may be
+    admitted and waiting.  Beyond that, :meth:`try_acquire` refuses and
+    the server answers ``429`` — shedding load at the door instead of
+    letting the queue grow without bound, with ``Retry-After`` estimated
+    from an EWMA of recent service times.
 
     Thread-safe: the event loop acquires/releases, tests and stats
     readers probe from other threads.
     """
 
-    def __init__(self, max_inflight: int, backlog: int) -> None:
+    def __init__(self, max_inflight: int, backlog: int,
+                 lanes: int = 1) -> None:
         self.max_inflight = max(1, max_inflight)
         self.backlog = max(0, backlog)
+        self.lanes = max(1, lanes)
         self.active = 0
         self.admitted = 0
         self.rejected = 0
@@ -175,17 +190,20 @@ class AdmissionControl:
     def retry_after(self) -> int:
         """Whole seconds a refused client should wait before retrying.
 
-        The queue ahead of the client drains at roughly one request per
-        EWMA service time through the single session executor.
+        The queue ahead of the client drains ``lanes`` requests at a
+        time, one per EWMA service time.
         """
         with self._lock:
-            return max(1, math.ceil(self.active * self._ewma_seconds))
+            return max(1, math.ceil(
+                self.active * self._ewma_seconds / self.lanes
+            ))
 
     def stats(self) -> Dict[str, object]:
         with self._lock:
             return {
                 "max_inflight": self.max_inflight,
                 "backlog": self.backlog,
+                "lanes": self.lanes,
                 "active": self.active,
                 "admitted": self.admitted,
                 "rejected": self.rejected,
@@ -399,6 +417,13 @@ def _result_json(result: QueryResult) -> Dict[str, object]:
     }
 
 
+def _log_collect_failure(future) -> None:
+    """Report a failed collect that no request is waiting for."""
+    if future.exception() is not None:
+        logger.warning("collecting an abandoned query batch failed",
+                       exc_info=future.exception())
+
+
 _PLAN_FIELDS = {
     "datasets", "kernels", "set_classes", "orderings", "k", "eps",
     "repeats", "bloom_bits", "kmv_k", "bloom_shared_bits", "bloom_fpr",
@@ -456,7 +481,10 @@ class MiningHTTPServer:
         self.session = session
         self.host = host
         self.port = port
-        self.admission = AdmissionControl(max_inflight, backlog)
+        # A pooled /query occupies one worker; in-process ones share the
+        # single session thread.
+        self.admission = AdmissionControl(max_inflight, backlog,
+                                          lanes=session.workers)
         self.max_pending_jobs = max(1, max_pending_jobs)
         self.tenants = dict(tenants or {})
         self.store = JobStore(job_root)
@@ -650,7 +678,11 @@ class MiningHTTPServer:
 
     def _compile_query(self, body: Mapping[str, object],
                        quota: TenantQuota, ledger: _TenantLedger):
-        """Body → (query, variants, clamp report), quota applied."""
+        """Body → (queries, batched, clamp report), quota applied.
+
+        *queries* holds the body's query alone, or one query per variant
+        when the body has ``variants`` (*batched* is then true).
+        """
         kernel = body.get("kernel")
         if not kernel:
             raise HttpError(400, "query body needs a 'kernel' field")
@@ -681,22 +713,21 @@ class MiningHTTPServer:
                     clamped = {**clamped, **v_applied}
         try:
             query = self.session.query(str(kernel)).with_overrides(overrides)
-            if variants:
-                for variant in variants:
-                    # Surface a bad variant as a 400 before any execution.
-                    query.with_overrides(variant)
+            # A bad variant surfaces as a 400 before any execution.
+            queries = ([query] if variants is None
+                       else [query.with_overrides(v) for v in variants])
         except (KeyError, ValueError, TypeError) as exc:
             raise HttpError(400, f"invalid query: {exc}")
         if clamped:
             ledger.clamped += 1
-        return query, variants, clamped
+        return queries, variants is not None, clamped
 
     async def _handle_query(
         self, request: _Request, tenant: str
     ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
         ledger = self._ledger(tenant)
         quota = self.quota_for(tenant)
-        query, variants, clamped = self._compile_query(
+        queries, batched, clamped = self._compile_query(
             request.json(), quota, ledger
         )
         if not self.admission.try_acquire():
@@ -707,25 +738,44 @@ class MiningHTTPServer:
             )
         t0 = time.perf_counter()
         try:
-            if variants is not None:
-                results = await self._on_session(
-                    lambda: query.run_many(variants)
-                )
-                payload: Dict[str, object] = {
-                    "results": [_result_json(r) for r in results]
-                }
-            else:
-                result = await self._on_session(query.run)
-                payload = {"result": _result_json(result)}
+            results = await self._run_queries(queries)
         finally:
             elapsed = time.perf_counter() - t0
             self.admission.release(elapsed)
         ledger.queries += 1
         ledger.query_seconds += elapsed
+        payload: Dict[str, object] = (
+            {"results": [_result_json(r) for r in results]} if batched
+            else {"result": _result_json(results[0])}
+        )
         payload["tenant"] = tenant
         if clamped:
             payload["quota_clamped"] = clamped
         return 200, payload, {}
+
+    async def _run_queries(self, queries) -> List[QueryResult]:
+        """Answer *queries* as one batch without holding the session.
+
+        Submitting and collecting run on the session thread; the pool
+        shards are awaited here, in the event loop, so other requests
+        can use the session meanwhile.
+        """
+        session = self.session
+        batch = await self._on_session(
+            lambda: session._submit_batch(queries, in_process_fallback=True)
+        )
+        if not batch.futures:
+            return batch.results   # answered in-process while submitting
+        try:
+            await asyncio.wait([asyncio.wrap_future(f) for f in batch.futures])
+        except asyncio.CancelledError:
+            # The shards still run to completion; collect them anyway so
+            # their counters reach the session totals.
+            self._session_executor.submit(
+                session._collect_batch, batch
+            ).add_done_callback(_log_collect_failure)
+            raise
+        return await self._on_session(lambda: session._collect_batch(batch))
 
     # -- endpoint: /suite + background jobs ---------------------------------
 

@@ -95,11 +95,13 @@ never leaks ``/dev/shm`` entries.  Cell values, counters, and artifacts
 are identical across transports (CI gates this with ``suite-diff``);
 only ``payload_bytes_shipped`` changes.
 
-Sequential single queries (``.run()`` on a ``workers=1`` session) execute
-in-process against the shared session cache — lowest latency, cache hits
-visible in :meth:`MiningSession.stats`.  Batches (:meth:`Query.run_many`)
-and plans (:meth:`MiningSession.run_plan`) fan out across the resident
-pool when ``workers > 1``.
+Single queries (``.run()``) execute in-process against the shared
+session cache — lowest latency, cache hits visible in
+:meth:`MiningSession.stats`.  Batches (:meth:`Query.run_many`) and plans
+(:meth:`MiningSession.run_plan`) fan out across the resident pool when
+``workers > 1``.  A batch is submitted and collected in two steps
+(``_submit_batch``/``_collect_batch``), so a caller such as the HTTP
+front door can wait for the pool shards without holding the session.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ import logging
 import pickle
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Type
 
@@ -176,6 +178,27 @@ def _plan_shard_key(plan: ExperimentPlan) -> tuple:
     ))
 
 
+@dataclass
+class PendingBatch:
+    """A batch in flight between ``_submit_batch`` and ``_collect_batch``.
+
+    ``results`` holds the in-process answers already; ``shards`` pairs
+    each pool future with its ``(index, query)`` members; ``done_at``
+    stamps each shard's completion, by shard position.
+    """
+
+    results: List[Optional["QueryResult"]]
+    shards: List[Tuple[Future, List[Tuple[int, "Query"]]]] = field(
+        default_factory=list
+    )
+    started: float = 0.0
+    done_at: Dict[int, float] = field(default_factory=dict)
+
+    @property
+    def futures(self) -> List[Future]:
+        return [future for future, _ in self.shards]
+
+
 @dataclass(frozen=True)
 class QueryResult:
     """One answered query.
@@ -183,11 +206,14 @@ class QueryResult:
     ``seconds`` is the warm best-of-repeats kernel time (the suite cell
     metric); ``wall_seconds`` is the end-to-end latency the session
     observed for this request, *including* any materialization and
-    warm-up — the number the cold-vs-warm comparison is about.
-    ``counters`` is the query's set-algebra delta (warm-up included), and
-    ``cache_hits``/``cache_misses`` the session-cache delta (in-process
-    queries only; pool-served queries hit worker-local caches instead,
-    visible in :meth:`MiningSession.stats`).
+    warm-up pass — the number the cold-vs-warm comparison is about.
+    ``counters`` is the query's set-algebra delta over every kernel pass
+    it made: the timed repeats, plus the discarded warm-up pass only if
+    the query missed the cache (see
+    :func:`~repro.platform.suite.run_cell`).  ``cache_hits``/
+    ``cache_misses`` are the session-cache delta (in-process queries
+    only; pool-served queries hit worker-local caches instead, visible in
+    :meth:`MiningSession.stats`).
     """
 
     kernel: str
@@ -305,7 +331,11 @@ class Query:
         return clone
 
     def repeats(self, n: int) -> "Query":
-        """Meter the kernel as best-of-*n* (timing only; one warm-up pass)."""
+        """Meter the kernel as best-of-*n* warm passes (timing only).
+
+        A query that misses the cache runs one extra, discarded warm-up
+        pass first; a warm one runs exactly *n* passes.
+        """
         clone = self._clone()
         clone._repeats = max(1, n)
         return clone
@@ -731,15 +761,27 @@ class MiningSession:
             self._shipped = shipped
         return self._pool
 
-    def _require_pool_dataset(self, dataset: str) -> None:
-        """Fail fast when a pool worker could not obtain *dataset*.
+    def _pool_serves(self, dataset: str) -> bool:
+        """Whether the running pool's workers hold the parent's *dataset*.
 
         Workers hold the graphs shipped at pool creation and can
         self-load registry datasets; anything else — a custom graph
         added, or a shipped/known name re-bound, after the pool started —
         would make the workers mine a different graph than the parent
-        holds, so both cases raise here instead of diverging silently.
+        holds.
         """
+        return dataset not in self._rebound_after_pool and (
+            dataset in self._shipped or dataset in DATASETS
+        )
+
+    def _require_pool_dataset(self, dataset: str) -> None:
+        """Fail fast when a pool worker could not obtain *dataset*.
+
+        Raises where :meth:`_pool_serves` says no, instead of letting the
+        workers diverge silently from the parent.
+        """
+        if self._pool_serves(dataset):
+            return
         if dataset in self._rebound_after_pool:
             raise RuntimeError(
                 f"graph {dataset!r} was re-bound after the resident pool "
@@ -747,8 +789,6 @@ class MiningSession:
                 f"would serve stale data — use a new name (or a new "
                 f"session) for the re-bound graph"
             )
-        if dataset in self._shipped or dataset in DATASETS:
-            return
         raise RuntimeError(
             f"dataset {dataset!r} was not shipped to the resident pool "
             f"(added after the pool started, or its graph could not be "
@@ -805,80 +845,105 @@ class MiningSession:
             self.cache.hits - hits0, self.cache.misses - misses0,
         )
 
-    def _run_batch(self, queries: Sequence[Query]) -> List[QueryResult]:
-        """Answer a batch — through the resident pool when workers > 1.
+    def _submit_batch(self, queries: Sequence[Query], *,
+                      in_process_fallback: bool = False) -> PendingBatch:
+        """Start answering a batch; :meth:`_collect_batch` finishes it.
 
-        Variants sharing a ``(dataset, backend, ordering)``
+        On a ``workers > 1`` session this validates the batch, groups it
+        into pool shards and submits them, then returns with the shards
+        in flight.  Variants sharing a ``(dataset, backend, ordering)``
         materialization (under identical kernel parameters and budgets)
         are batched into **one** pool shard: the worker runs them
         back-to-back against the same warm cache entry, and the batch
-        ships one task payload instead of one per variant.  Per-variant
-        counters come from the shard's telescoping per-cell deltas, so
-        they still sum exactly to what the shard cost; the shard's wall
-        clock is attributed to each of its variants (they completed
-        together).
+        ships one task payload instead of one per variant.
+
+        A query for a dataset the pool cannot serve (see
+        :meth:`_pool_serves`) fails the whole batch before anything is
+        submitted — or, with *in_process_fallback*, is answered
+        in-process once the shards are in flight.  A ``workers <= 1``
+        session answers every query in-process, here.
         """
         self._check_open()
-        if self.workers <= 1 or not queries:
-            return [self._run_query(q) for q in queries]
-        from .runner import _submit_shard, accumulate_cache_stats
+        batch = PendingBatch(results=[None] * len(queries))
+        local = range(len(queries))
+        if self.workers > 1 and queries:
+            from .runner import _submit_shard
 
-        pool = self._ensure_pool()
-        # Validate the whole batch before the first submission: a bad
-        # variant must fail the batch up front, not after earlier
-        # variants' shards (and their counter deltas) are already in
-        # flight and would be silently abandoned.
-        compiled = []
-        for query in queries:
-            plan = query.plan()
-            self._require_pool_dataset(query._dataset)
-            compiled.append((query, plan))
-        groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
-        for index, (query, plan) in enumerate(compiled):
-            backend, _, ordering = query.cell_spec()
-            key = (query._dataset, backend, ordering,
-                   _plan_shard_key(plan))
-            groups.setdefault(key, []).append(index)
-        t0 = time.perf_counter()
-        submitted = []
-        done_at: Dict[int, float] = {}
-        for group_index, members in enumerate(groups.values()):
-            _, plan = compiled[members[0]]
-            shard = [(i, compiled[i][0].cell_spec()) for i in members]
-            future = _submit_shard(
-                pool, plan, compiled[members[0]][0]._dataset, shard
-            )
-            # Stamp completion as it happens — collecting futures in
-            # submission order below would otherwise charge early
-            # finishers with their predecessors' wait time.
-            future.add_done_callback(
-                lambda _f, g=group_index: done_at.setdefault(
-                    g, time.perf_counter()
+            pool = self._ensure_pool()
+            # Validate the whole batch before the first submission: a bad
+            # variant must fail the batch up front, not after earlier
+            # variants' shards (and their counter deltas) are already in
+            # flight and would be silently abandoned.
+            local = []
+            groups: "OrderedDict[tuple, list]" = OrderedDict()
+            for index, query in enumerate(queries):
+                plan = query.plan()
+                if in_process_fallback and not self._pool_serves(
+                        query._dataset):
+                    local.append(index)
+                    continue
+                self._require_pool_dataset(query._dataset)
+                backend, _, ordering = query.cell_spec()
+                key = (query._dataset, backend, ordering,
+                       _plan_shard_key(plan))
+                groups.setdefault(key, []).append((index, query, plan))
+            batch.started = time.perf_counter()
+            for group_index, members in enumerate(groups.values()):
+                _, first, plan = members[0]
+                shard = [(i, q.cell_spec()) for i, q, _ in members]
+                future = _submit_shard(pool, plan, first._dataset, shard)
+                # Stamp completion as it happens — collecting futures in
+                # submission order would otherwise charge early
+                # finishers with their predecessors' wait time.
+                future.add_done_callback(
+                    lambda _f, g=group_index: batch.done_at.setdefault(
+                        g, time.perf_counter()
+                    )
                 )
-            )
-            submitted.append((future, members))
-        results: List[Optional[QueryResult]] = [None] * len(compiled)
+                batch.shards.append(
+                    (future, [(i, q) for i, q, _ in members])
+                )
+        for index in local:
+            batch.results[index] = self._run_query(queries[index])
+        return batch
+
+    def _collect_batch(self, batch: PendingBatch) -> List[QueryResult]:
+        """Finish a :meth:`_submit_batch` batch: merge its pool shards.
+
+        Blocks until every shard is done.  Per-variant counters come from
+        the shard's telescoping per-cell deltas, so they still sum
+        exactly to what the shard cost; the shard's wall clock is
+        attributed to each of its variants (they completed together).
+        """
+        from .runner import accumulate_cache_stats
+
         deltas: List[Snapshot] = []
-        for group_index, (future, members) in enumerate(submitted):
+        for group_index, (future, members) in enumerate(batch.shards):
             shard = future.result()
-            wall = done_at.get(group_index, time.perf_counter()) - t0
+            wall = (batch.done_at.get(group_index, time.perf_counter())
+                    - batch.started)
             deltas.append(shard["counters"])
             accumulate_cache_stats(
                 self._worker_cache_stats, shard["pid"],
                 shard["cache_stats"],
             )
+            queries = dict(members)
             for (index, cell), cell_delta in zip(
                 shard["cells"], shard["cell_counters"]
             ):
-                results[index] = self._result_from_cell(
-                    compiled[index][0], cell, wall, cell_delta, 0, 0,
+                batch.results[index] = self._result_from_cell(
+                    queries[index], cell, wall, cell_delta, 0, 0,
                 )
+            self.queries_run += len(members)
         # One associative merge, folded into this process's global block —
         # the session totals come out identical to a sequential run of the
         # same batch, whatever the completion order.
         _counters.COUNTERS.absorb(merge_snapshots(deltas))
-        self.queries_run += len(queries)
-        return results
+        return batch.results
+
+    def _run_batch(self, queries: Sequence[Query]) -> List[QueryResult]:
+        """Answer a batch — through the resident pool when workers > 1."""
+        return self._collect_batch(self._submit_batch(queries))
 
     # -- plan execution (the suite path) ------------------------------------
 

@@ -88,10 +88,12 @@ One JSON object per dataset::
           "exact": bool,       # cls.IS_EXACT
           "value": int,        # kernel output (count)
           "seconds": float,    # best-of-repeats *warm* kernel wall time
-                               # (an untimed warm-up pass populates the
-                               # per-process cache first; materialization
-                               # cost shows up in "materialization" and
-                               # the execution block, not here)
+                               # (a first pass that missed the per-process
+                               # cache is discarded as the warm-up; one
+                               # that hit counts as repeat #1; so
+                               # materialization cost shows up in
+                               # "materialization" and the execution
+                               # block, not here)
           "set_ops": int, "point_ops": int,     # software counters
           "memory_traffic": int, "sketch_builds": int,
           "extras": {...},     # per-kernel work profile:
@@ -458,28 +460,38 @@ def run_cell(
     plan: ExperimentPlan,
     cache: MaterializationCache,
 ) -> Dict[str, object]:
-    """Execute one cell: warm-up, then metered best-of-``plan.repeats``.
+    """Execute one cell: metered best-of-``plan.repeats`` warm passes.
 
-    The warm-up pass (untimed) populates the local cache so the measured
-    runs meter the *kernel*, not whichever cell happened to pay the
-    one-time materialization — without it, the reference backend (which
-    runs first) would absorb the ordering cost and every later backend's
-    speedup would be inflated.  ``reference``/``rel_error`` are filled in
-    later by :func:`finalize_cells`, once the reference cells are known.
+    The first pass is timed too, and ``cache.misses`` is read around it.
+    If it missed the cache it paid the one-time materialization, so it is
+    discarded as the warm-up and ``plan.repeats`` timed passes follow —
+    without that, the reference backend (which runs first) would absorb
+    the ordering cost and every later backend's speedup would be
+    inflated.  If it hit, it already measured the warm kernel and counts
+    as timed repeat #1.  A cold cell thus costs ``repeats + 1`` kernel
+    passes and a warm one ``repeats``; an entry too large for the cache
+    budget (served but not retained) misses on every pass and still stops
+    after one extra pass.  The cell's value and counters come from its
+    last pass.  ``reference``/``rel_error`` are filled in later by
+    :func:`finalize_cells`, once the reference cells are known.
     """
-    kernel.runner(graph, set_cls, ordering, plan, cache)
-    best = float("inf")
-    value = None
-    extras: Dict[str, object] = {}
-    delta = None
-    for _ in range(max(1, plan.repeats)):
+
+    def timed_pass():
         before = _counters.snapshot()
         t0 = time.perf_counter()
         raw = kernel.runner(graph, set_cls, ordering, plan, cache)
         elapsed = time.perf_counter() - t0
-        delta = before.delta(_counters.snapshot())
-        value, extras = _normalize_result(raw)
-        best = min(best, elapsed)
+        return elapsed, before.delta(_counters.snapshot()), raw
+
+    misses = cache.misses
+    passes = [timed_pass()]
+    if cache.misses != misses:
+        passes.clear()  # it paid the materialization: the warm-up
+    while len(passes) < max(1, plan.repeats):
+        passes.append(timed_pass())
+    best = min(elapsed for elapsed, _, _ in passes)
+    _, delta, raw = passes[-1]
+    value, extras = _normalize_result(raw)
     return {
         "kernel": kernel.name,
         "ordering": ordering,

@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import http.client
 import json
+import sys
+import threading
 import time
 
 import pytest
 
 import repro.platform.bench as bench
+from repro.graph import load_dataset
+from repro.mining.triangles import triangle_count_node_iterator
 from repro.platform.http import (
     AdmissionControl,
     MiningHTTPServer,
@@ -26,7 +30,11 @@ from repro.platform.http import (
 from repro.platform.jobs import JOB_SCHEMA, JobStore
 from repro.platform.runner import diff_payloads
 from repro.platform.session import MiningSession
-from repro.platform.suite import ExperimentPlan
+from repro.platform.suite import (
+    SUITE_KERNELS,
+    ExperimentPlan,
+    register_suite_kernel,
+)
 
 
 def _request(port: int, method: str, path: str, body=None, headers=None):
@@ -201,6 +209,190 @@ class TestAdmissionControl:
             _, stats, _ = _request(server.port, "GET", "/stats")
             assert stats["admission"]["rejected"] == 1
             assert stats["tenants"]["public"]["usage"]["rejected"] == 1
+
+    def test_retry_after_divides_by_service_lanes(self):
+        one = AdmissionControl(max_inflight=1, backlog=4)
+        two = AdmissionControl(max_inflight=1, backlog=4, lanes=2)
+        for admission in (one, two):
+            for _ in range(5):
+                assert admission.try_acquire()
+            # EWMA 0.8 * 0.05 + 0.2 * 10 = 2.04 s, 4 requests active.
+            admission.release(10.0)
+        assert one.retry_after() == 9   # ceil(4 * 2.04)
+        assert two.retry_after() == 5   # ceil(4 * 2.04 / 2)
+
+    def test_two_worker_server_retry_after_counts_both_lanes(self):
+        with MiningSession(workers=2) as session, running_server(
+                session, max_inflight=1, backlog=4) as server:
+            assert server.admission.lanes == 2
+            for _ in range(5):
+                assert server.admission.try_acquire()
+            server.admission.release(10.0)   # EWMA 2.04 s
+            assert server.admission.try_acquire()   # all 5 slots held
+            try:
+                status, _, response = _request(
+                    server.port, "POST", "/query",
+                    {"kernel": "tc", "dataset": "sc-ht-mini"},
+                )
+                assert status == 429
+                # ceil(5 * 2.04 / 2); one lane would say 11.
+                assert response.getheader("Retry-After") == "6"
+            finally:
+                for _ in range(5):
+                    server.admission.release()
+
+
+def _slow_tc(graph, set_cls, ordering, plan, cache):
+    """Triangle count that takes long enough to see two run at once; the
+    extras record when the pass ran (wall clock, comparable across
+    processes)."""
+    start = time.time()
+    value = triangle_count_node_iterator(graph, set_cls=set_cls,
+                                         cache=cache)
+    time.sleep(0.5)
+    return value, {"start": start, "end": time.time()}
+
+
+class TestPooledQueries:
+    """``/query`` on a ``workers=2`` session runs on the resident pool."""
+
+    @pytest.fixture
+    def slow_kernel(self):
+        # Registered before the pool forks, so the workers see it.
+        register_suite_kernel("slow-tc", _slow_tc, "slow triangle count",
+                              uses_ordering=False)
+        try:
+            yield "slow-tc"
+        finally:
+            del SUITE_KERNELS["slow-tc"]
+
+    def test_concurrent_queries_overlap_on_the_pool(self, slow_kernel):
+        body = {"kernel": slow_kernel, "dataset": "sc-ht-mini",
+                "backend": "bitset"}
+        fields = ("set_ops", "point_ops", "sketch_builds", "memory_traffic")
+        with MiningSession(workers=2) as session, \
+                running_server(session) as server:
+            # Warm before the pool starts, so both workers receive the
+            # materialization and run each query's kernel exactly once.
+            session.warm("sc-ht-mini", ("bitset",))
+            status, _, _ = _request(server.port, "POST", "/query", body)
+            assert status == 200          # warm-up: starts the pool
+            before = session.counters
+            replies = [None, None]
+
+            def client(i):
+                replies[i] = _request(server.port, "POST", "/query", body)
+
+            threads = [threading.Thread(target=client, args=(i,))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            after = session.counters
+            results = [payload["result"] for _, payload, _ in replies]
+            assert [status for status, _, _ in replies] == [200, 200]
+            assert session.pool_starts == 1
+        spans = [r["cell"]["extras"] for r in results]
+        assert max(s["start"] for s in spans) < min(s["end"] for s in spans)
+        # Pool-served: no session-cache traffic in the parent.
+        assert all(r["cache_hits"] == r["cache_misses"] == 0
+                   for r in results)
+        for name in fields:
+            assert (getattr(after, name) - getattr(before, name)
+                    == sum(r["counters"][name] for r in results)), name
+        with MiningSession() as direct_session:
+            direct = (direct_session.query(slow_kernel).on("sc-ht-mini")
+                      .backend("bitset").run())
+        assert [r["value"] for r in results] == [direct.value] * 2
+        assert direct.value == triangle_count_node_iterator(
+            load_dataset("sc-ht-mini"))
+
+    def test_many_concurrent_queries_keep_session_totals_whole(self):
+        # More workers and clients than cores, and a short switch
+        # interval: a lost update to the session's counters or query
+        # count would break the sums below.
+        clients, per_client = 6, 4
+        bodies = [{"kernel": "tc", "dataset": "sc-ht-mini",
+                   "backend": backend} for backend in ("bitset", "sorted")]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with MiningSession(workers=3) as session, \
+                    running_server(session, max_inflight=clients) as server:
+                _request(server.port, "POST", "/query", bodies[0])
+                before, queries0 = session.counters, session.queries_run
+                replies = []
+
+                def client(i):
+                    for j in range(per_client):
+                        replies.append(_request(server.port, "POST",
+                                                "/query", bodies[(i + j) % 2]))
+
+                threads = [threading.Thread(target=client, args=(i,))
+                           for i in range(clients)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+                after = session.counters
+                assert session.queries_run - queries0 == clients * per_client
+        finally:
+            sys.setswitchinterval(interval)
+        assert [status for status, _, _ in replies] == \
+            [200] * (clients * per_client)
+        results = [payload["result"] for _, payload, _ in replies]
+        assert len({r["value"] for r in results}) == 1
+        assert after.set_ops - before.set_ops == sum(
+            r["counters"]["set_ops"] for r in results)
+        assert after.memory_traffic - before.memory_traffic == sum(
+            r["counters"]["memory_traffic"] for r in results)
+
+    def test_graph_added_after_pool_start_is_answered_in_process(self):
+        late = load_dataset("antcolony5-mini")
+        rebound = load_dataset("gearbox-mini")
+        with MiningSession(workers=2) as session, \
+                running_server(session) as server:
+            status, first, _ = _request(
+                server.port, "POST", "/query",
+                {"kernel": "tc", "dataset": "sc-ht-mini",
+                 "backend": "bitset"},
+            )
+            assert status == 200
+            assert first["result"]["cache_misses"] == 0   # on the pool
+            assert session.pool_starts == 1
+            session.add_graph("late", late)
+            status, single, _ = _request(
+                server.port, "POST", "/query",
+                {"kernel": "tc", "dataset": "late", "backend": "bitset"},
+            )
+            assert status == 200, single
+            assert single["result"]["value"] == \
+                triangle_count_node_iterator(late)
+            assert single["result"]["cache_misses"] > 0   # in-process
+            status, batch, _ = _request(
+                server.port, "POST", "/query",
+                {"kernel": "tc", "dataset": "late",
+                 "variants": [{"backend": "sorted"},
+                              {"dataset": "sc-ht-mini"}]},
+            )
+            assert status == 200, batch
+            assert [r["value"] for r in batch["results"]] == [
+                triangle_count_node_iterator(late),
+                first["result"]["value"],
+            ]
+            # Re-binding the name after the pool started: still answered,
+            # and on the new graph.
+            session.add_graph("late", rebound)
+            status, again, _ = _request(
+                server.port, "POST", "/query",
+                {"kernel": "tc", "dataset": "late", "backend": "bitset"},
+            )
+            assert status == 200, again
+            assert again["result"]["value"] == \
+                triangle_count_node_iterator(rebound)
+            assert session.pool_starts == 1
 
 
 class TestTenantQuotas:

@@ -15,12 +15,17 @@ from itertools import product
 import pytest
 
 from repro.__main__ import main
+from repro.core.registry import get_set_class
+from repro.graph import load_dataset
+from repro.graph.set_graph import MaterializationCache
+from repro.mining.triangles import triangle_count_node_iterator
 from repro.platform.aggregate import aggregate_results
 from repro.platform.suite import (
     SUITE_KERNELS,
     ExperimentPlan,
     plan_from_argv,
     register_suite_kernel,
+    run_cell,
     run_suite,
 )
 
@@ -191,6 +196,64 @@ class TestRunSuite:
             assert all(c["rel_error"] == 0.0 for c in cells)
         finally:
             del SUITE_KERNELS["edges"]
+
+
+class TestRunCellPasses:
+    """``run_cell`` runs a warm cell's kernel once per repeat, and a cold
+    one once more (the discarded warm-up), with identical cell values."""
+
+    @pytest.fixture
+    def counting(self):
+        calls = []
+
+        def _counting_tc(graph, set_cls, ordering, plan, cache):
+            calls.append(ordering)
+            return triangle_count_node_iterator(graph, set_cls=set_cls,
+                                                cache=cache)
+
+        register_suite_kernel("counting-tc", _counting_tc,
+                              "triangle count that counts its passes",
+                              uses_ordering=False)
+        try:
+            yield calls
+        finally:
+            del SUITE_KERNELS["counting-tc"]
+
+    #: One graph object: the cache keys entries by graph identity.
+    GRAPH = load_dataset("sc-ht-mini")
+
+    def _cell(self, cache, repeats):
+        return run_cell(
+            self.GRAPH, get_set_class("bitset"),
+            SUITE_KERNELS["counting-tc"], "bitset", "-",
+            ExperimentPlan(repeats=repeats), cache,
+        )
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_cold_cell_adds_one_warm_up_pass(self, counting, repeats):
+        cache = MaterializationCache()
+        cold = self._cell(cache, repeats)
+        assert len(counting) == repeats + 1
+        counting.clear()
+        warm = self._cell(cache, repeats)
+        assert len(counting) == repeats
+        for field in ("value", "set_ops", "point_ops", "memory_traffic",
+                      "sketch_builds"):
+            assert cold[field] == warm[field], field
+        assert cold["set_ops"] > 0
+
+    def test_entry_over_budget_stops_after_one_extra_pass(self, counting):
+        # Served but never retained: every pass misses the cache, yet the
+        # cell still runs only repeats + 1 passes.
+        cache = MaterializationCache(budget_bytes=1)
+        first = self._cell(cache, 3)
+        assert len(counting) == 4
+        assert cache.resident_bytes == 0
+        counting.clear()
+        again = self._cell(cache, 3)
+        assert len(counting) == 4
+        assert first["value"] == again["value"]
+        assert first["memory_traffic"] == again["memory_traffic"]
 
 
 class TestSuiteCommand:
