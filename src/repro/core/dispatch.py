@@ -36,7 +36,7 @@ the ablation artifact can show where the cycles went.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .counters import COUNTERS
 from .interface import SetBase
 from .ops import (
     as_sorted_unique,
+    csr_sorted_unique,
     diff_merge,
     intersect_count_merge,
     intersect_merge,
@@ -197,6 +198,16 @@ class AdaptiveSet(SetBase):
     @classmethod
     def from_sorted_array(cls, array: np.ndarray) -> "AdaptiveSet":
         return cls(as_sorted_unique(array), _trusted=True)
+
+    @classmethod
+    def from_csr(cls, offsets: np.ndarray,
+                 values: np.ndarray) -> List["AdaptiveSet"]:
+        # Trusted views of the validated values (zero-copy from shared
+        # memory); each row still takes its own density decision.
+        offsets, values = csr_sorted_unique(offsets, values)
+        bounds = offsets.tolist()
+        return [cls(values[a:b], _trusted=True)
+                for a, b in zip(bounds, bounds[1:])]
 
     # -- dispatched kernels ---------------------------------------------
     #

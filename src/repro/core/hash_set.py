@@ -9,12 +9,13 @@ sorted array is requested — the same trade-off as in the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, List
 
 import numpy as np
 
 from .counters import COUNTERS
 from .interface import SetBase
+from .ops import csr_sorted_unique
 
 __all__ = ["HashSet"]
 
@@ -35,6 +36,14 @@ class HashSet(SetBase):
     @classmethod
     def from_sorted_array(cls, array: np.ndarray) -> "HashSet":
         return cls(set(np.asarray(array, dtype=np.int64).tolist()))
+
+    @classmethod
+    def from_csr(cls, offsets: np.ndarray, values: np.ndarray) -> List["HashSet"]:
+        # One bulk int conversion, then one C-level set() per row.
+        offsets, values = csr_sorted_unique(offsets, values)
+        bounds = offsets.tolist()
+        vals = values.tolist()
+        return [cls(set(vals[a:b])) for a, b in zip(bounds, bounds[1:])]
 
     # -- core algebra ---------------------------------------------------
     def intersect(self, other: SetBase) -> "HashSet":
@@ -109,3 +118,9 @@ class HashSet(SetBase):
         return super().__eq__(other)
 
     __hash__ = SetBase.__hash__
+
+    # -- storage accounting ------------------------------------------------
+    def storage_bytes(self) -> int:
+        """CPython set footprint: ~32 bytes/slot, at least 8 slots."""
+        n = len(self._data)
+        return 32 * (n if n > 8 else 8)  # max() costs 4x on this hot path

@@ -37,7 +37,7 @@ platform's implicit conversions.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, List
 
 import numpy as np
 
@@ -80,6 +80,21 @@ class SetBase(ABC):
         :meth:`from_iterable`.
         """
         return cls.from_iterable(array)
+
+    @classmethod
+    def from_csr(cls, offsets: np.ndarray, values: np.ndarray) -> List["SetBase"]:
+        """Build every row ``values[offsets[v]:offsets[v + 1]]`` as a set.
+
+        The bulk form of :meth:`from_sorted_array` that materializes a
+        whole CSR graph: each returned set equals
+        ``cls.from_sorted_array(row)``.  The default is that per-row loop;
+        backends whose layout can be built for all rows at once override
+        it (after one whole-CSR validation,
+        :func:`repro.core.ops.csr_sorted_unique`).
+        """
+        bounds = np.asarray(offsets).tolist()
+        return [cls.from_sorted_array(values[a:b])
+                for a, b in zip(bounds, bounds[1:])]
 
     @classmethod
     def empty(cls) -> "SetBase":
@@ -212,6 +227,13 @@ class SetBase(ABC):
     def is_empty(self) -> bool:
         """Return whether the set has no elements."""
         return self.cardinality() == 0
+
+    def storage_bytes(self) -> int:
+        """Approximate resident size in bytes (memory analysis and cache
+        budgets).  The default is the sorted ``int64`` array footprint,
+        8 bytes per element; representations with another layout
+        override it."""
+        return 8 * self.cardinality()
 
     # ------------------------------------------------------------------
     # Python protocol sugar

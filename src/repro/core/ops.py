@@ -21,10 +21,13 @@ themselves, independent of any Set class.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 __all__ = [
     "as_sorted_unique",
+    "csr_sorted_unique",
     "intersect_merge",
     "intersect_galloping",
     "intersect_count_merge",
@@ -52,6 +55,47 @@ def as_sorted_unique(array: np.ndarray) -> np.ndarray:
     if len(arr) > 1 and not (arr[1:] > arr[:-1]).all():
         arr = np.unique(arr)
     return arr
+
+
+def csr_sorted_unique(
+    offsets: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR form of :func:`as_sorted_unique`: validate-or-sort every row.
+
+    Row ``v`` is ``values[offsets[v]:offsets[v + 1]]``.  One vectorized
+    ``values[1:] > values[:-1]`` pass, with the comparisons that straddle
+    a row boundary masked out, validates all rows at once; only rows that
+    fail it go through :func:`as_sorted_unique`, and the CSR is then
+    re-packed around them.  Returns ``int64`` ``(offsets, values)`` —
+    the inputs themselves (or views of them) whenever they already were
+    valid ``int64`` rows, so callers can hand out zero-copy row slices.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64).reshape(-1)
+    values = np.asarray(values, dtype=np.int64).reshape(-1)
+    if (len(offsets) == 0 or offsets[0] != 0
+            or offsets[-1] != len(values) or (np.diff(offsets) < 0).any()):
+        raise ValueError("CSR offsets must rise from 0 to len(values)")
+    ok = values[1:] > values[:-1]
+    # ok[i] compares values[i] with values[i + 1]; it straddles a row
+    # boundary exactly when i + 1 starts a row.
+    starts = offsets[1:-1]
+    ok[starts[(starts > 0) & (starts < len(values))] - 1] = True
+    if ok.all():
+        return offsets, values
+    bad = np.unique(np.searchsorted(offsets, np.flatnonzero(~ok), "right") - 1)
+    pieces = []
+    counts = np.diff(offsets)
+    done = 0
+    for row in bad.tolist():
+        lo, hi = int(offsets[row]), int(offsets[row + 1])
+        fixed = as_sorted_unique(values[lo:hi])
+        pieces += [values[done:lo], fixed]
+        counts[row] = len(fixed)
+        done = hi
+    pieces.append(values[done:])
+    offsets = np.zeros(len(offsets), dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets, np.concatenate(pieces)
 
 
 def _merge_member_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -9,13 +9,13 @@ intersection kernels for the algorithm-choice experiments of section 6.5.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, List
 
 import numpy as np
 
 from .counters import COUNTERS
 from .interface import SetBase
-from .ops import as_sorted_unique
+from .ops import as_sorted_unique, csr_sorted_unique
 
 __all__ = ["SortedSet"]
 
@@ -47,6 +47,15 @@ class SortedSet(SetBase):
         # break every merge kernel downstream (sortedness is the invariant
         # they all binary-search against).
         return cls(as_sorted_unique(array), _trusted=True)
+
+    @classmethod
+    def from_csr(cls, offsets: np.ndarray, values: np.ndarray) -> List["SortedSet"]:
+        # Rows are slices of the validated values: views, so sets rebuilt
+        # from shared-memory arrays copy nothing.
+        offsets, values = csr_sorted_unique(offsets, values)
+        bounds = offsets.tolist()
+        return [cls(values[a:b], _trusted=True)
+                for a, b in zip(bounds, bounds[1:])]
 
     # -- core algebra ---------------------------------------------------
     def intersect(self, other: SetBase) -> "SortedSet":

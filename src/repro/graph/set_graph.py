@@ -6,6 +6,17 @@ template.  Swapping the set class changes the layout of every neighborhood
 (sorted arrays ↔ roaring bitmaps ↔ hash tables ↔ dense bitvectors) without
 touching any algorithm code.
 
+Every conversion from CSR is one bulk call,
+:meth:`SetBase.from_csr(offsets, values) <repro.core.interface.SetBase.from_csr>`:
+the whole CSR is validated once (one vectorized sortedness check with row
+boundaries masked; only failing rows are sorted) and all ``n``
+neighborhoods are built in one pass per backend.  Sorted and adaptive
+rows are views of the validated values (zero-copy from shared memory),
+hash rows come from one bulk ``tolist``, and bitset rows are packed by one
+scatter per staging chunk of at most 64 KiB, so the staging memory stays
+bounded however large the graph.  Other backends fall back to a per-row
+``from_sorted_array`` loop.
+
 Besides the plain :func:`build_set_graph` conversion, this module provides
 the two materialization services the unified mining pipeline is built on:
 
@@ -29,7 +40,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 import numpy as np
 
 from ..core.interface import SetBase
-from ..core.roaring import RoaringSet
 from .csr import CSRGraph
 
 __all__ = [
@@ -87,25 +97,11 @@ class SetGraph:
         return range(self.num_nodes)
 
     def storage_bytes(self) -> int:
-        """Approximate resident size of all neighborhood sets.
-
-        Sorted arrays cost 8 bytes/element (int64), hash sets ~= 32
-        bytes/slot at 2/3 fill (CPython set), dense bitvectors n/8 bytes,
-        roaring its serialized container sizes.
-        """
-        total = 0
-        for s in self._neighborhoods:
-            if isinstance(s, RoaringSet):
-                total += s.storage_bytes()
-            elif hasattr(s, "storage_bytes"):
-                total += s.storage_bytes()  # e.g. AdaptiveSet: array+bitmap
-            elif hasattr(s, "storage_bits"):
-                total += s.storage_bits() // 8 + 1
-            elif type(s).__name__ == "HashSet":
-                total += 32 * max(s.cardinality(), 8)
-            else:
-                total += 8 * s.cardinality()
-        return total
+        """Approximate resident size of all neighborhood sets — the sum
+        of each set's own :meth:`~repro.core.interface.SetBase.storage_bytes`
+        (sorted arrays 8 bytes/element, hash sets ~32 bytes/slot, dense
+        bitvectors n/8 bytes, roaring its serialized container sizes)."""
+        return sum(s.storage_bytes() for s in self._neighborhoods)
 
     def representation_histogram(self) -> Dict[str, int]:
         """How many neighborhoods live in each physical organization.
@@ -134,13 +130,11 @@ def build_set_graph(graph: CSRGraph, set_cls: Type[SetBase]) -> SetGraph:
     """Materialize a :class:`SetGraph` from a CSR graph.
 
     This is the representation-construction step whose peak memory the
-    paper's section 8.9 analysis measures (CSR neighborhoods are converted
-    one by one, so the CSR source plus the growing set graph are co-resident).
+    paper's section 8.9 analysis measures (the CSR source and the set graph
+    are co-resident, plus at most one bounded staging chunk).
     """
-    neighborhoods = [
-        set_cls.from_sorted_array(graph.out_neigh(v)) for v in graph.vertices()
-    ]
-    return SetGraph(neighborhoods, set_cls, directed=graph.directed)
+    return SetGraph(set_cls.from_csr(graph.offsets, graph.adjacency),
+                    set_cls, directed=graph.directed)
 
 
 def build_oriented_set_graph(
@@ -158,11 +152,8 @@ def build_oriented_set_graph(
     from .transforms import oriented_arcs
 
     offsets, arcs_dst = oriented_arcs(graph, rank)
-    neighborhoods = [
-        set_cls.from_sorted_array(arcs_dst[offsets[v] : offsets[v + 1]])
-        for v in range(graph.num_nodes)
-    ]
-    return SetGraph(neighborhoods, set_cls, directed=True)
+    return SetGraph(set_cls.from_csr(offsets, arcs_dst), set_cls,
+                    directed=True)
 
 
 def flatten_set_graph(sg: SetGraph) -> Tuple[np.ndarray, np.ndarray]:
@@ -201,15 +192,12 @@ def unflatten_set_graph(
 ) -> SetGraph:
     """Rebuild a :class:`SetGraph` from :func:`flatten_set_graph` arrays.
 
-    Neighborhoods are constructed via ``from_sorted_array`` on slices of
-    *values* — for sorted-array backends those slices pass through as
-    views, so rebuilding from shared-memory arrays copies nothing.
+    Neighborhoods are constructed by one ``set_cls.from_csr`` call — for
+    the sorted-array backends (sorted, adaptive) every row is a view of
+    *values*, so rebuilding from shared-memory arrays copies nothing.
     """
-    neighborhoods = [
-        set_cls.from_sorted_array(values[offsets[v]:offsets[v + 1]])
-        for v in range(len(offsets) - 1)
-    ]
-    return SetGraph(neighborhoods, set_cls, directed=directed)
+    return SetGraph(set_cls.from_csr(offsets, values), set_cls,
+                    directed=directed)
 
 
 def _picklable_by_reference(cls: type) -> bool:

@@ -84,6 +84,7 @@ import contextlib
 import json
 import logging
 import math
+import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -948,6 +949,11 @@ def serve_http(ns) -> int:
 
     async def _main() -> None:
         await server.start()
+        # SIGTERM (service managers, ``kill``) stops the server the way
+        # SIGINT does: cancel this task, so the finally below stops the
+        # server and the caller closes the session and its pool workers.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel)
         print(f"serving http on {server.host}:{server.port} "
               f"(workers={session.workers}, transport={session.transport}, "
               f"jobs under {server.store.root})", flush=True)
@@ -958,7 +964,7 @@ def serve_http(ns) -> int:
 
     try:
         asyncio.run(_main())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("interrupted; shutting down", flush=True)
     finally:
         session.close()

@@ -159,6 +159,40 @@ class TestCommunities:
         assert labels[5] == labels[9]
         assert labels[0] != labels[5]
 
+    @pytest.mark.parametrize("seed", [81, 82, 83])
+    @pytest.mark.parametrize("k, k_min", [(3, 1), (6, 2), (8, 3)])
+    def test_jarvis_patrick_matches_array_reference(self, seed, k, k_min):
+        # Reference: the shared-neighbour count as a raw sorted-array
+        # intersection, the way the kernel computed it before it ran on
+        # the set algebra.  Labels must stay identical.
+        from repro.learning.similarity import similarity
+
+        csr, _ = random_csr(60, 300, seed)
+        knn = []
+        for u in csr.vertices():
+            scored = sorted(((similarity(csr, u, v, "jaccard"), v)
+                             for v in csr.out_neigh(u).tolist()),
+                            key=lambda t: (-t[0], t[1]))
+            knn.append(np.array(sorted(v for _, v in scored[:k]),
+                                dtype=np.int64))
+        parent = list(range(csr.num_nodes))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for u in range(csr.num_nodes):
+            for v in knn[u].tolist():
+                if u < v and u in knn[v].tolist():
+                    shared = len(np.intersect1d(knn[u], knn[v]))
+                    if shared >= k_min and find(u) != find(v):
+                        parent[find(v)] = find(u)
+        _, want = np.unique([find(v) for v in range(csr.num_nodes)],
+                            return_inverse=True)
+        got = jarvis_patrick(csr, k=k, k_min=k_min)
+        assert got.tolist() == want.tolist()
+
     def test_modularity_of_trivial_partitions(self, planted):
         csr, _ = planted
         one = np.zeros(80, dtype=np.int64)

@@ -42,11 +42,11 @@ class TestRepoSelfAudit:
         assert baseline.stale_entries(repo_findings) == []
 
     def test_known_grandfathered_debt_is_exact(self, repo_findings):
-        # The whole baseline today: one raw intersect1d in the k-NN
-        # shared-neighbor count.  Fixing it must flow through here.
-        assert [(f.rule, f.path) for f in repo_findings] == [
-            ("GMS001", "src/repro/learning/jarvis_patrick.py"),
-        ]
+        # The baseline is empty: the repo has no findings at all, and any
+        # new one must be fixed rather than grandfathered.
+        assert [(f.rule, f.path) for f in repo_findings] == []
+        baseline = Baseline.load(REPO_ROOT / DEFAULT_BASELINE_NAME)
+        assert list(baseline.entries) == []
 
     def test_cli_entry_point_exits_zero_on_repo(self):
         proc = subprocess.run(

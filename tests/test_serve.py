@@ -8,8 +8,15 @@ must fail the request — not the session — and surface in the exit code.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import urllib.request
 
 import pytest
 
@@ -151,3 +158,56 @@ class TestServeDiagnostics:
         out = capsys.readouterr().out
         assert "session closing: 1 query(ies)" in out
         assert "worker caches" not in out
+
+
+def _child_pids(pid: int) -> list:
+    """Direct children of *pid*, whichever of its threads forked them."""
+    children = []
+    for task in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{task}/children") as fh:
+            children += [int(c) for c in fh.read().split()]
+    return children
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="reads child processes from /proc")
+class TestServeHttpShutdown:
+    def test_sigterm_closes_the_session_and_its_pool(self, tmp_path):
+        repo = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--http", "0",
+             "--workers", "2", "--job-root", str(tmp_path / "jobs")],
+            cwd=tmp_path, env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        workers: list = []
+        try:
+            banner = proc.stdout.readline()
+            port = int(banner.split()[3].rsplit(":", 1)[1])
+            body = json.dumps({"kernel": "tc", "dataset": "sc-ht-mini",
+                               "backend": "bitset"}).encode()
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{port}/query", data=body, method="POST")
+            with urllib.request.urlopen(request, timeout=120) as response:
+                assert json.load(response)["result"]["value"] > 0
+            # The query ran on the pool, so its workers are alive now.
+            workers = _child_pids(proc.pid)
+            assert len(workers) >= 2
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=60)
+            # session.close() joined every worker before the server exited.
+            survivors = [pid for pid in workers
+                         if os.path.exists(f"/proc/{pid}")]
+        finally:
+            # Never leak processes, even when an assertion above failed
+            # (orphans would also hold the output pipes open).
+            for pid in workers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            if proc.poll() is None:
+                proc.kill()
+            out, err = proc.communicate()
+        assert survivors == []
+        assert proc.returncode == 0, err
+        assert "interrupted; shutting down" in out
