@@ -3,8 +3,13 @@
 * **abl1 — set representation in BK** (section 6.2's "roaring brings >9×"):
   the same BK engine over BitSet / HashSet / SortedSet / RoaringSet.  In
   this Python port the big-int bitvector plays roaring's role (documented
-  in EXPERIMENTS.md); the pure-Python RoaringSet and numpy SortedSet pay
-  per-call overheads at miniature set sizes.
+  in EXPERIMENTS.md).  At miniature set sizes every backend pays a fixed
+  per-call cost that its elements do not explain.  The ``small_operand_us``
+  microkernel row times four kernel steps at |A| = |B| = 16: ~1-11 µs
+  each (numpy's call overhead for SortedSet, the container dispatch for
+  RoaringSet), ~20 µs for AdaptiveSet's merge-path ``diff`` and 60-100 µs
+  for CompressedSortedSet's ``diff`` and ``remove`` + ``add``, while the
+  32 elements themselves cost well under a microsecond.
 * **abl2 — merge vs galloping intersection** (section 6.5): galloping wins
   when one operand is much smaller; merge is competitive at similar sizes.
 * **abl3 — subgraph H at every level vs outermost-only** (section 6.2):
@@ -27,6 +32,8 @@ from __future__ import annotations
 
 import argparse
 import dis
+import os
+import platform
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -35,6 +42,7 @@ import pytest
 
 from repro.core import (
     AdaptiveSet,
+    registered_set_classes,
     BitSet,
     HashSet,
     RoaringSet,
@@ -45,6 +53,7 @@ from repro.core import (
 from repro.core.counters import snapshot
 from repro.core.packed import intersect_count_words, pack_sorted
 from repro.graph import load_dataset
+from repro.graph.datasets import dataset_provenance
 from repro.graph.set_graph import MaterializationCache
 from repro.graph.transforms import split_neighbors
 from repro.mining import (
@@ -315,6 +324,10 @@ def run_dispatch_ablation(
     out: Dict = {
         "schema": SCHEMA,
         "dataset": dataset,
+        "provenance": dataset_provenance(dataset),
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
+                 "python": platform.python_version(),
+                 "numpy": np.__version__},
         "k": k,
         "repeats": repeats,
         "modes": {},
@@ -404,6 +417,50 @@ def run_dispatch_microkernels(scale: int = 1) -> Dict[str, float]:
     }
 
 
+def run_small_operand_microkernels(
+    size: int = 16, universe: int = 2000, calls: int = 2000
+) -> Dict[str, Dict[str, float]]:
+    """Per-call µs of the steps the clique kernels repeat, per exact backend.
+
+    Both operands hold *size* members of a *universe*-vertex graph — the
+    neighbourhood scale of the benchmark's deep clique sweep — so the
+    timings are the fixed per-call cost of each step rather than its
+    per-element work.  Best of three runs of *calls* calls each.
+    """
+    rng = np.random.default_rng(13)
+    a = np.sort(rng.choice(universe, size=size, replace=False))
+    b = np.sort(rng.choice(universe, size=size, replace=False))
+    member = int(a[size // 2])
+
+    def per_call_us(fn):
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            best = min(best, time.perf_counter() - t0)
+        return 1e6 * best / calls
+
+    rows = {}
+    for cls in registered_set_classes():
+        if not cls.IS_EXACT:
+            continue
+        sa, sb = cls.from_sorted_array(a), cls.from_sorted_array(b)
+        scratch = cls.from_sorted_array(a)
+
+        def remove_add():
+            scratch.remove(member)
+            scratch.add(member)
+
+        rows[cls.__name__] = {
+            "intersect_count": per_call_us(lambda: sa.intersect_count(sb)),
+            "diff": per_call_us(lambda: sa.diff(sb)),
+            "remove_add": per_call_us(remove_add),
+            "to_array": per_call_us(sa.to_array),
+        }
+    return rows
+
+
 @pytest.mark.benchmark(group="ablation")
 def test_abl5_dispatch(benchmark, show_table):
     data = benchmark.pedantic(
@@ -456,6 +513,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     payload["microkernels"] = run_dispatch_microkernels(
         scale=16 if ns.smoke else 1
     )
+    small = run_small_operand_microkernels(calls=200 if ns.smoke else 2000)
+    payload["microkernels"]["small_operand_us"] = small
     path = write_artifact(f"ablation_setops_{dataset}", payload)
 
     print_table(
@@ -473,6 +532,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ["kernel", "speedup"],
         [[kernel, f"{ratio:.2f}x"]
          for kernel, ratio in payload["speedup"].items()],
+    )
+    print_table(
+        "per-call cost at |A| = |B| = 16, 2000-vertex universe [µs]",
+        ["class", "intersect_count", "diff", "remove+add", "to_array"],
+        [[name, *(f"{row[op]:.2f}" for op in
+                  ("intersect_count", "diff", "remove_add", "to_array"))]
+         for name, row in small.items()],
     )
     scans = payload["modes"]["adaptive"]["words_scanned"]
     if scans:

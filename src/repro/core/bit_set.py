@@ -103,15 +103,13 @@ class BitSet(SetBase):
         return cls((1 << bound) - 1 if bound > 0 else 0)
 
     # -- core algebra ---------------------------------------------------
-    def _words(self) -> int:
-        return (self._bits.bit_length() + _WORD_BITS - 1) // _WORD_BITS
-
     def _record(self, b: "BitSet", written: int) -> None:
         # Normalized units: elements (cardinalities), like every other
         # backend — the old word-based recording made BitSet cells
         # incomparable.  The word-level cost moves to the scan attribution.
-        COUNTERS.record_bulk(self.cardinality() + b.cardinality(), written)
-        COUNTERS.record_scan("bitset", self._words() + b._words())
+        x, y = self._bits, b._bits
+        COUNTERS.record_bulk(x.bit_count() + y.bit_count(), written)
+        COUNTERS.record_scan("bitset", _word_count(x) + _word_count(y))
 
     def intersect(self, other: SetBase) -> "BitSet":
         b = self._coerce(other)
@@ -181,12 +179,23 @@ class BitSet(SetBase):
 
     # -- fast-path overrides ---------------------------------------------
     def to_array(self) -> np.ndarray:
-        if self._bits == 0:
+        bits = self._bits
+        if bits == 0:
             return np.empty(0, dtype=np.int64)
-        nbytes = (self._bits.bit_length() + 7) // 8
-        buf = np.frombuffer(self._bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(buf, bitorder="little")
-        return np.nonzero(bits)[0].astype(np.int64)
+        length = bits.bit_length()
+        if bits.bit_count() * _WORD_BITS < length:
+            # Sparse: peel the lowest set bit per member instead of
+            # unpacking every bit of the universe.
+            out = []
+            while bits:
+                low = bits & -bits
+                out.append(low.bit_length() - 1)
+                bits ^= low
+            return np.array(out, dtype=np.int64)
+        buf = np.frombuffer(bits.to_bytes((length + 7) // 8, "little"),
+                            dtype=np.uint8)
+        return np.nonzero(np.unpackbits(buf, bitorder="little"))[0].astype(
+            np.int64)
 
     def clone(self) -> "BitSet":
         return BitSet(self._bits)

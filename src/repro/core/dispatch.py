@@ -46,7 +46,9 @@ from .interface import SetBase
 from .ops import (
     as_sorted_unique,
     csr_sorted_unique,
+    delete_at,
     diff_merge,
+    insert_at,
     intersect_count_merge,
     intersect_merge,
     union_merge,
@@ -194,6 +196,10 @@ class AdaptiveSet(SetBase):
     def from_iterable(cls, elements: Iterable[int]) -> "AdaptiveSet":
         return cls(np.unique(np.fromiter(elements, dtype=np.int64)),
                    _trusted=True)
+
+    @classmethod
+    def empty(cls) -> "AdaptiveSet":
+        return cls()
 
     @classmethod
     def from_sorted_array(cls, array: np.ndarray) -> "AdaptiveSet":
@@ -367,10 +373,10 @@ class AdaptiveSet(SetBase):
     def add(self, element: int) -> None:
         COUNTERS.record_point()
         data = self._data
-        idx = int(np.searchsorted(data, element))
+        idx = int(data.searchsorted(element))
         if idx < len(data) and data[idx] == element:
             return
-        self._data = np.insert(data, idx, element)
+        self._data = insert_at(data, idx, element)  # rows may be CSR views
         COUNTERS.elements_written += 1
         self._hash = None
         self._list = None
@@ -385,10 +391,10 @@ class AdaptiveSet(SetBase):
     def remove(self, element: int) -> None:
         COUNTERS.record_point()
         data = self._data
-        idx = int(np.searchsorted(data, element))
+        idx = int(data.searchsorted(element))
         if not (idx < len(data) and data[idx] == element):
             return
-        self._data = np.delete(data, idx)
+        self._data = delete_at(data, idx)
         COUNTERS.elements_written += 1
         self._hash = None
         self._list = None

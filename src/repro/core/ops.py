@@ -36,6 +36,8 @@ __all__ = [
     "diff_merge",
     "member_mask_merge",
     "member_mask_galloping",
+    "insert_at",
+    "delete_at",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -135,6 +137,26 @@ def member_mask_galloping(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros(len(a), dtype=bool)
     b = np.asarray(b)
     return b.searchsorted(a, "left") != b.searchsorted(a, "right")
+
+
+def insert_at(arr: np.ndarray, idx: int, value: int) -> np.ndarray:
+    """A new array: *arr* with *value* inserted before position *idx*.
+
+    Two slice copies into a fresh buffer — no ``np.insert`` argument
+    normalization, and *arr* itself is never written (set payloads may
+    be views of a shared CSR ``values`` array).
+    """
+    out = np.empty(len(arr) + 1, dtype=arr.dtype)
+    out[:idx] = arr[:idx]
+    out[idx] = value
+    out[idx + 1:] = arr[idx:]
+    return out
+
+
+def delete_at(arr: np.ndarray, idx: int) -> np.ndarray:
+    """A new array: *arr* without position *idx* (one concatenation;
+    *arr* is never written, see :func:`insert_at`)."""
+    return np.concatenate((arr[:idx], arr[idx + 1:]))
 
 
 def intersect_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:

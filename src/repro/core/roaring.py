@@ -26,7 +26,7 @@ import numpy as np
 
 from .counters import COUNTERS
 from .interface import SetBase
-from .ops import as_sorted_unique
+from .ops import as_sorted_unique, delete_at, insert_at, member_mask_galloping
 
 __all__ = ["RoaringSet", "ARRAY_CONTAINER_MAX"]
 
@@ -101,6 +101,24 @@ def _card(container: Container) -> int:
     return sum(length for _, length in payload)  # type: ignore[union-attr]
 
 
+def _measure(chunks: Dict[int, Container]) -> Tuple[int, int]:
+    """``(cardinality, storage bytes)`` of a chunk dict in one walk —
+    both feed every bulk op's counters."""
+    card = nbytes = 0
+    for tag, payload in chunks.values():
+        if tag == "a":
+            n = len(payload)  # type: ignore[arg-type]
+            card += n
+            nbytes += 4 + 2 * n  # chunk key + header, 16-bit values
+        elif tag == "b":
+            card += payload.bit_count()  # type: ignore[union-attr]
+            nbytes += 4 + _CHUNK_SIZE // 8
+        else:
+            card += sum(length for _, length in payload)  # type: ignore[union-attr]
+            nbytes += 4 + 4 * len(payload)  # type: ignore[arg-type]
+    return card, nbytes
+
+
 def _contains(container: Container, low: int) -> bool:
     tag, payload = container
     if tag == "a":
@@ -129,10 +147,19 @@ def _iter_container(container: Container) -> Iterator[int]:
 
 def _binary_op(a: Container, b: Container, op: str) -> Container | None:
     """Apply intersect/union/diff to two containers; None means empty."""
-    a = _densify(a)
-    b = _densify(b)
     ta, pa = a
     tb, pb = b
+    if ta == "a" and tb == "a":  # the common case: sparse chunks
+        if op == "and":
+            out = np.intersect1d(pa, pb, assume_unique=True)
+        elif op == "or":
+            out = np.union1d(pa, pb)
+        else:
+            out = pa[~member_mask_galloping(pa, pb)]  # type: ignore[index]
+        # uint16 in, uint16 out: no dtype copy needed.
+        return _container_from_array(out) if len(out) else None
+    if ta == "r" or tb == "r":
+        return _binary_op(_densify(a), _densify(b), op)
     if ta == "b" and tb == "b":
         if op == "and":
             bits = pa & pb  # type: ignore[operator]
@@ -141,14 +168,6 @@ def _binary_op(a: Container, b: Container, op: str) -> Container | None:
         else:
             bits = pa & ~pb & _FULL_BITMAP  # type: ignore[operator]
         return _container_from_bits(bits) if bits else None
-    if ta == "a" and tb == "a":
-        if op == "and":
-            out = np.intersect1d(pa, pb, assume_unique=True)
-        elif op == "or":
-            out = np.union1d(pa, pb)
-        else:
-            out = np.setdiff1d(pa, pb, assume_unique=True)
-        return _container_from_array(out.astype(np.uint16)) if len(out) else None
     # Mixed array/bitmap: probe the bitmap with the array.
     if ta == "a":  # pa array, pb bitmap
         arr: np.ndarray = pa  # type: ignore[assignment]
@@ -174,6 +193,36 @@ def _binary_op(a: Container, b: Container, op: str) -> Container | None:
     return _container_from_bits(bits) if bits else None
 
 
+def _intersect_chunks(
+    a: Dict[int, Container], b: Dict[int, Container]
+) -> Tuple[Dict[int, Container], int]:
+    """``(chunks of a ∩ b, its cardinality)``, walking the smaller dict."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: Dict[int, Container] = {}
+    card = 0
+    get = b.get
+    for key, ca in a.items():
+        cb = get(key)
+        if cb is None:
+            continue
+        merged = _binary_op(ca, cb, "and")
+        if merged is not None:
+            out[key] = merged
+            card += _card(merged)
+    return out, card
+
+
+def _absolute(key: int, container: Container) -> np.ndarray:
+    """A container's members as a new array of absolute ``int64`` values."""
+    tag, payload = _densify(container)
+    arr = payload if tag == "a" else _array_from_bits(payload)  # type: ignore[arg-type]
+    arr = arr.astype(np.int64)  # type: ignore[union-attr]
+    if key:
+        arr += key << _CHUNK_BITS
+    return arr
+
+
 def _membership_mask(bits: int, values: np.ndarray) -> np.ndarray:
     buf = np.frombuffer(bits.to_bytes(_CHUNK_SIZE // 8, "little"), dtype=np.uint8)
     table = np.unpackbits(buf, bitorder="little").view(bool)
@@ -181,7 +230,13 @@ def _membership_mask(bits: int, values: np.ndarray) -> np.ndarray:
 
 
 class RoaringSet(SetBase):
-    """A set stored as a roaring bitmap (chunked adaptive containers)."""
+    """A set stored as a roaring bitmap (chunked adaptive containers).
+
+    No chunk ever holds an empty container, so the set is empty exactly
+    when it has no chunks.  Every graph under 65,536 vertices fits in one
+    chunk, so the per-op chunk walks are written to cost next to nothing
+    on a one-entry dict.
+    """
 
     __slots__ = ("_chunks",)
 
@@ -195,6 +250,10 @@ class RoaringSet(SetBase):
         return cls.from_sorted_array(np.unique(arr))
 
     @classmethod
+    def empty(cls) -> "RoaringSet":
+        return cls()
+
+    @classmethod
     def from_sorted_array(cls, array: np.ndarray) -> "RoaringSet":
         # Validate-or-sort first: the chunk split below reads boundaries
         # off ``np.diff(highs)``, so an unsorted input revisits high chunks
@@ -203,8 +262,11 @@ class RoaringSet(SetBase):
         chunks: Dict[int, Container] = {}
         if len(arr) == 0:
             return cls(chunks)
-        highs = arr >> _CHUNK_BITS
         lows = (arr & _LOW_MASK).astype(np.uint16)
+        key = int(arr[0]) >> _CHUNK_BITS
+        if key == int(arr[-1]) >> _CHUNK_BITS:  # one chunk: no split
+            return cls({key: _container_from_array(lows)})
+        highs = arr >> _CHUNK_BITS
         boundaries = np.nonzero(np.diff(highs))[0] + 1
         starts = np.concatenate(([0], boundaries))
         ends = np.concatenate((boundaries, [len(arr)]))
@@ -213,49 +275,44 @@ class RoaringSet(SetBase):
         return cls(chunks)
 
     # -- core algebra ---------------------------------------------------
-    def _record_scan(self, b: "RoaringSet") -> None:
-        # Approximation: a bulk op walks both operands' containers once,
-        # so attribute their serialized footprint, in 8-byte words.
-        COUNTERS.record_scan(
-            "roaring", (self.storage_bytes() + b.storage_bytes() + 7) // 8
-        )
+    def _record(self, b: "RoaringSet") -> None:
+        # Reads are both cardinalities; the scan attribution approximates
+        # a bulk op walking both operands' containers once, as their
+        # serialized footprint in 8-byte words.
+        card_a, bytes_a = _measure(self._chunks)
+        card_b, bytes_b = _measure(b._chunks)
+        COUNTERS.record_bulk(card_a + card_b, 0)
+        COUNTERS.record_scan("roaring", (bytes_a + bytes_b + 7) // 8)
 
     def intersect(self, other: SetBase) -> "RoaringSet":
         b = self._coerce(other)
-        COUNTERS.record_bulk(self.cardinality() + b.cardinality(), 0)
-        self._record_scan(b)
-        out: Dict[int, Container] = {}
-        small, large = (self, b) if len(self._chunks) <= len(b._chunks) else (b, self)
-        for key, ca in small._chunks.items():
-            cb = large._chunks.get(key)
-            if cb is None:
-                continue
-            merged = _binary_op(ca, cb, "and")
-            if merged is not None:
-                out[key] = merged
-        result = RoaringSet(out)
-        COUNTERS.elements_written += result.cardinality()
-        return result
+        self._record(b)
+        out, card = _intersect_chunks(self._chunks, b._chunks)
+        COUNTERS.elements_written += card
+        return RoaringSet(out)
 
     def intersect_count(self, other: SetBase) -> int:
         b = self._coerce(other)
-        COUNTERS.record_bulk(self.cardinality() + b.cardinality(), 0)
-        self._record_scan(b)
-        total = 0
-        small, large = (self, b) if len(self._chunks) <= len(b._chunks) else (b, self)
-        for key, ca in small._chunks.items():
-            cb = large._chunks.get(key)
-            if cb is None:
-                continue
-            merged = _binary_op(ca, cb, "and")
-            if merged is not None:
-                total += _card(merged)
-        return total
+        self._record(b)
+        return _intersect_chunks(self._chunks, b._chunks)[1]
+
+    def intersect_inplace(self, other: SetBase) -> None:
+        # Fused: rebind the result chunks, no intermediate RoaringSet.
+        b = self._coerce(other)
+        self._record(b)
+        self._chunks, card = _intersect_chunks(self._chunks, b._chunks)
+        COUNTERS.elements_written += card
+
+    def intersect_assign(self, a: SetBase, b: SetBase) -> None:
+        # Fused A = a ∩ b straight into this set's chunk slot.
+        ca, cb = self._coerce(a), self._coerce(b)
+        ca._record(cb)
+        self._chunks, card = _intersect_chunks(ca._chunks, cb._chunks)
+        COUNTERS.elements_written += card
 
     def union(self, other: SetBase) -> "RoaringSet":
         b = self._coerce(other)
-        COUNTERS.record_bulk(self.cardinality() + b.cardinality(), 0)
-        self._record_scan(b)
+        self._record(b)
         out: Dict[int, Container] = {}
         for key in self._chunks.keys() | b._chunks.keys():
             ca = self._chunks.get(key)
@@ -274,8 +331,7 @@ class RoaringSet(SetBase):
 
     def diff(self, other: SetBase) -> "RoaringSet":
         b = self._coerce(other)
-        COUNTERS.record_bulk(self.cardinality() + b.cardinality(), 0)
-        self._record_scan(b)
+        self._record(b)
         out: Dict[int, Container] = {}
         for key, ca in self._chunks.items():
             cb = b._chunks.get(key)
@@ -313,12 +369,11 @@ class RoaringSet(SetBase):
             self._chunks[key] = ("b", payload | (1 << low))  # type: ignore[operator]
             return
         arr: np.ndarray = payload  # type: ignore[assignment]
-        idx = int(np.searchsorted(arr, low))
+        idx = int(arr.searchsorted(low))
         if idx < len(arr) and arr[idx] == low:
             self._chunks[key] = container
             return
-        new = np.insert(arr, idx, low)
-        self._chunks[key] = _container_from_array(new)
+        self._chunks[key] = _container_from_array(insert_at(arr, idx, low))
         COUNTERS.elements_written += 1
 
     def remove(self, element: int) -> None:
@@ -340,9 +395,9 @@ class RoaringSet(SetBase):
                 del self._chunks[key]
             return
         arr: np.ndarray = payload  # type: ignore[assignment]
-        idx = int(np.searchsorted(arr, low))
+        idx = int(arr.searchsorted(low))
         if idx < len(arr) and arr[idx] == low:
-            new = np.delete(arr, idx)
+            new = delete_at(arr, idx)
             COUNTERS.elements_written += 1
             if len(new):
                 self._chunks[key] = ("a", new)
@@ -352,7 +407,13 @@ class RoaringSet(SetBase):
             self._chunks[key] = container
 
     def cardinality(self) -> int:
-        return sum(_card(c) for c in self._chunks.values())
+        total = 0
+        for container in self._chunks.values():
+            total += _card(container)
+        return total
+
+    def is_empty(self) -> bool:
+        return not self._chunks
 
     def __iter__(self) -> Iterator[int]:
         for key in sorted(self._chunks):
@@ -362,15 +423,13 @@ class RoaringSet(SetBase):
 
     # -- fast-path overrides ---------------------------------------------
     def to_array(self) -> np.ndarray:
-        parts = []
-        for key in sorted(self._chunks):
-            base = np.int64(key << _CHUNK_BITS)
-            tag, payload = _densify(self._chunks[key])
-            arr = payload if tag == "a" else _array_from_bits(payload)  # type: ignore[arg-type]
-            parts.append(arr.astype(np.int64) + base)
-        if not parts:
+        chunks = self._chunks
+        if len(chunks) == 1:
+            return _absolute(*next(iter(chunks.items())))
+        if not chunks:
             return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        return np.concatenate([_absolute(key, chunks[key])
+                               for key in sorted(chunks)])
 
     def clone(self) -> "RoaringSet":
         return RoaringSet({k: _copy_container(c) for k, c in self._chunks.items()})
@@ -400,17 +459,7 @@ class RoaringSet(SetBase):
 
     def storage_bytes(self) -> int:
         """Approximate serialized size in bytes (for the memory analysis)."""
-        total = 0
-        for container in self._chunks.values():
-            tag, payload = container
-            total += 4  # chunk key + header
-            if tag == "a":
-                total += 2 * len(payload)  # type: ignore[arg-type]
-            elif tag == "b":
-                total += _CHUNK_SIZE // 8
-            else:
-                total += 4 * len(payload)  # type: ignore[arg-type]
-        return total
+        return _measure(self._chunks)[1]
 
     def container_kinds(self) -> Dict[str, int]:
         """Histogram of container types, e.g. ``{"a": 3, "b": 1}``."""

@@ -15,7 +15,8 @@ import numpy as np
 
 from .counters import COUNTERS
 from .interface import SetBase
-from .ops import as_sorted_unique, csr_sorted_unique
+from .ops import (as_sorted_unique, csr_sorted_unique, delete_at, insert_at,
+                  member_mask_galloping)
 
 __all__ = ["SortedSet"]
 
@@ -40,6 +41,11 @@ class SortedSet(SetBase):
     def from_iterable(cls, elements: Iterable[int]) -> "SortedSet":
         arr = np.fromiter(elements, dtype=np.int64)
         return cls(np.unique(arr), _trusted=True)
+
+    @classmethod
+    def empty(cls) -> "SortedSet":
+        # The shared empty payload: nothing ever writes into ``_data``.
+        return cls()
 
     @classmethod
     def from_sorted_array(cls, array: np.ndarray) -> "SortedSet":
@@ -93,29 +99,37 @@ class SortedSet(SetBase):
         return SortedSet(out, _trusted=True)
 
     def diff(self, other: SetBase) -> "SortedSet":
+        # Binary-search membership: np.setdiff1d would go through
+        # np.isin, whose fixed per-call cost dominates small operands.
         b = self._coerce(other)
-        out = np.setdiff1d(self._data, b._data, assume_unique=True)
-        COUNTERS.record_bulk(len(self._data) + len(b._data), len(out))
+        a_data, b_data = self._data, b._data
+        out = a_data[~member_mask_galloping(a_data, b_data)]
+        COUNTERS.record_bulk(len(a_data) + len(b_data), len(out))
         return SortedSet(out, _trusted=True)
 
     def contains(self, element: int) -> bool:
         COUNTERS.record_point()
-        idx = np.searchsorted(self._data, element)
-        return bool(idx < len(self._data) and self._data[idx] == element)
+        data = self._data
+        idx = data.searchsorted(element)
+        return bool(idx < len(data) and data[idx] == element)
 
+    # add/remove rebind ``_data`` to a new array, never write into it:
+    # from_csr rows are views of the shared CSR values.
     def add(self, element: int) -> None:
         COUNTERS.record_point()
-        idx = int(np.searchsorted(self._data, element))
-        if idx < len(self._data) and self._data[idx] == element:
+        data = self._data
+        idx = int(data.searchsorted(element))
+        if idx < len(data) and data[idx] == element:
             return
-        self._data = np.insert(self._data, idx, element)
+        self._data = insert_at(data, idx, element)
         COUNTERS.elements_written += 1
 
     def remove(self, element: int) -> None:
         COUNTERS.record_point()
-        idx = int(np.searchsorted(self._data, element))
-        if idx < len(self._data) and self._data[idx] == element:
-            self._data = np.delete(self._data, idx)
+        data = self._data
+        idx = int(data.searchsorted(element))
+        if idx < len(data) and data[idx] == element:
+            self._data = delete_at(data, idx)
             COUNTERS.elements_written += 1
 
     def cardinality(self) -> int:
